@@ -134,9 +134,9 @@ BENCHMARK(BM_SimulationCyclesBytecode);
 void
 BM_BytecodeLowering(benchmark::State &state)
 {
-    // Cost of installing the compiled backend (lowering + constant
-    // folding + slab build) on an already-constructed simulator; the
-    // one-time price a session pays for the per-cycle speedup above.
+    // Cost of building a simulator and installing the compiled backend
+    // on it (lowering + slab build); the one-time price a session pays
+    // for the per-cycle speedup above.
     auto mod = buildDesign(bugById("D3"), false).mod;
     for (auto _ : state) {
         sim::Simulator sim(hdl::cloneModule(*mod));

@@ -468,7 +468,7 @@ Bits::toDecString() const
         value = value.divu(ten);
     }
     if (out.empty())
-        out = "0";
+        return "0";
     std::reverse(out.begin(), out.end());
     return out;
 }

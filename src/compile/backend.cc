@@ -115,10 +115,7 @@ resizeWords(Word *dst, uint32_t dst_w, const Word *src, uint32_t src_w)
 } // namespace
 
 BytecodeBackend::BytecodeBackend(sim::Simulator &sim)
-    : Backend(sim),
-      // Folding consults the known-bits fixpoint, which models
-      // unmutated semantics; any live mutation disables it.
-      prog_(lowerProgram(design(), activeMutation == MUT_NONE))
+    : Backend(sim), prog_(lowerProgram(design()))
 {
     slab_ = prog_.slabInit;
     before_.resize(prog_.stateWords);

@@ -36,9 +36,6 @@ class BytecodeBackend final : public sim::Backend
     void exportNba(std::vector<sim::PendingNba> &out) const override;
     void importNba(const std::vector<sim::PendingNba> &in) override;
 
-    /** The lowered program; tests and reports inspect fold stats. */
-    const Program &program() const { return prog_; }
-
   private:
     void run(const Program::Chunk &chunk);
     void doStore(const StoreDesc &sd);

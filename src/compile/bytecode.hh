@@ -161,10 +161,6 @@ struct Program
     std::vector<StoreDesc> stores;
     std::vector<NbaDesc> nbas;
     std::vector<DisplayDesc> displays;
-
-    // Lowering statistics (reported by tests and `--backend` tooling).
-    size_t foldedConsts = 0; ///< expressions folded to constant slots
-    size_t deadArms = 0;     ///< if-branches dropped by known-bits facts
 };
 
 /** Words needed for @p width bits. */
@@ -182,14 +178,8 @@ topWordMask(uint32_t width)
     return rem == 0 ? ~Word(0) : (~Word(0) >> (64 - rem));
 }
 
-/**
- * Lower @p design to bytecode. When @p fold is set, the known-bits
- * fixpoint from src/analyze folds fully-known expressions into constant
- * slots and drops if-branches with proven conditions; callers must
- * disable folding when a simulator mutation is active (the abstract
- * domain models unmutated semantics).
- */
-Program lowerProgram(const sim::LoweredDesign &design, bool fold);
+/** Lower @p design to bytecode, one op stream per process and assign. */
+Program lowerProgram(const sim::LoweredDesign &design);
 
 } // namespace hwdbg::compile
 

@@ -9,18 +9,11 @@
  * lowering time — they are structural. Value-level mutations (add/sub,
  * shift off-by-one, ternary swap, xor/or, lt/le) stay runtime checks in
  * the executor so both backends read the same global switch.
- *
- * Constant folding consults the analyze known-bits fixpoint, whose
- * facts hold for every stored value (including transients inside a
- * settle pass), so replacing a fully-known expression with its constant
- * cannot perturb the trajectory — including the settle iteration count.
  */
 
 #include <algorithm>
 #include <map>
 
-#include "analyze/domain.hh"
-#include "analyze/fixpoint.hh"
 #include "common/logging.hh"
 #include "common/testhooks.hh"
 #include "compile/bytecode.hh"
@@ -38,14 +31,7 @@ namespace
 class Lowerer
 {
   public:
-    Lowerer(const LoweredDesign &design, bool fold)
-        : design_(design), fold_(fold), sigs_(design.module())
-    {
-        if (fold_) {
-            fix_ = analyze::solveConstants(design_.module(), sigs_);
-            env_ = &fix_.env;
-        }
-    }
+    explicit Lowerer(const LoweredDesign &design) : design_(design) {}
 
     Program run();
 
@@ -104,10 +90,6 @@ class Lowerer
     }
 
     const LoweredDesign &design_;
-    bool fold_;
-    analyze::SignalTable sigs_;
-    analyze::ConstFixpoint fix_;
-    const analyze::Env *env_ = nullptr;
 
     Program prog_;
     uint32_t slabTop_ = 0;
@@ -153,25 +135,9 @@ Lowerer::lowerExpr(const ExprPtr &e, uint32_t cw)
               e->loc.str().c_str());
     uint32_t w = std::max(cw, self);
 
-    if (e->kind == ExprKind::Number)
-        return constSlot(e->as<NumberExpr>()->value.resized(w));
-
-    // Known-bits folding: the abstract evaluator mirrors the
-    // interpreter's width rules, so a fully-known fact at exactly the
-    // natural width can replace the whole subtree with a constant
-    // slot. The conservative width check skips the rare nodes whose
-    // natural width exceeds w (wide-operand bitwise/shift chains).
-    if (fold_ && w <= 64 && e->kind != ExprKind::Id) {
-        auto kb = analyze::kbEval(e, cw, sigs_, *env_);
-        if (kb && kb->fullyKnown() && kb->width == w) {
-            ++prog_.foldedConsts;
-            return constSlot(Bits(w, kb->value));
-        }
-    }
-
     switch (e->kind) {
       case ExprKind::Number:
-        break; // handled above
+        return constSlot(e->as<NumberExpr>()->value.resized(w));
       case ExprKind::Id: {
         int sig = e->as<IdExpr>()->resolved;
         Slot s{prog_.sigOff[sig], design_.info(sig).width};
@@ -555,25 +521,6 @@ Lowerer::lowerStmt(const StmtPtr &stmt, bool clocked)
         break;
       case StmtKind::If: {
         const auto *branch = stmt->as<IfStmt>();
-        if (fold_) {
-            auto kb = analyze::kbEval(branch->cond, 0, sigs_, *env_);
-            if (kb && kb->knownZero()) {
-                ++prog_.deadArms;
-                Op &arm = emit(Opc::CoverArm);
-                arm.stmt = stmt.get();
-                arm.aux = 1;
-                lowerStmt(branch->elseStmt, clocked);
-                break;
-            }
-            if (kb && kb->knownNonzero()) {
-                ++prog_.deadArms;
-                Op &arm = emit(Opc::CoverArm);
-                arm.stmt = stmt.get();
-                arm.aux = 0;
-                lowerStmt(branch->thenStmt, clocked);
-                break;
-            }
-        }
         Slot c = lowerExpr(branch->cond, 0);
         uint32_t jz_at = here();
         Op &jz = emit(Opc::Jz);
@@ -755,9 +702,9 @@ Lowerer::run()
 } // namespace
 
 Program
-lowerProgram(const LoweredDesign &design, bool fold)
+lowerProgram(const LoweredDesign &design)
 {
-    return Lowerer(design, fold).run();
+    return Lowerer(design).run();
 }
 
 } // namespace hwdbg::compile

@@ -73,21 +73,6 @@ joinArgs(const std::vector<std::string> &args, size_t from)
     return out;
 }
 
-bool
-parseU64(const std::string &text, uint64_t *out)
-{
-    if (text.empty())
-        return false;
-    uint64_t value = 0;
-    for (char c : text) {
-        if (c < '0' || c > '9')
-            return false;
-        value = value * 10 + uint64_t(c - '0');
-    }
-    *out = value;
-    return true;
-}
-
 std::string
 eventJson(const DebugEvent &ev)
 {

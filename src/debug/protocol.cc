@@ -75,6 +75,24 @@ jsonArray(const std::vector<std::string> &elems)
     return out + "]";
 }
 
+bool
+parseU64(const std::string &text, uint64_t *out)
+{
+    if (text.empty())
+        return false;
+    uint64_t value = 0;
+    for (char c : text) {
+        if (c < '0' || c > '9')
+            return false;
+        uint64_t digit = uint64_t(c - '0');
+        if (value > (UINT64_MAX - digit) / 10)
+            return false;
+        value = value * 10 + digit;
+    }
+    *out = value;
+    return true;
+}
+
 Request
 parseRequestLine(const std::string &line)
 {

@@ -58,6 +58,12 @@ struct Request
 Request parseRequestLine(const std::string &line);
 
 /**
+ * Parse a decimal argument: one or more digits and nothing else, no
+ * larger than 2^64-1. False on anything else, overflow included.
+ */
+bool parseU64(const std::string &text, uint64_t *out);
+
+/**
  * Ordered JSON object writer: fields appear exactly in call order,
  * which is what gives machine transcripts their byte determinism.
  */

@@ -116,7 +116,12 @@ escapeString(const std::string &s)
 std::string
 printRange(const AstRange &range)
 {
-    return "[" + printExpr(range.msb) + ":" + printExpr(range.lsb) + "]";
+    std::string out = "[";
+    out += printExpr(range.msb);
+    out += ":";
+    out += printExpr(range.lsb);
+    out += "]";
+    return out;
 }
 
 } // namespace

@@ -7,7 +7,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -120,10 +119,8 @@ writeFileOrFatal(const std::string &path, const std::string &text)
 uint64_t
 parseU64(const std::string &text, const char *what)
 {
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (errno || !end || *end || end == text.c_str())
+    uint64_t v = 0;
+    if (!debug::parseU64(text, &v))
         fatal("%s: bad number '%s'", what, text.c_str());
     return v;
 }
@@ -248,6 +245,10 @@ Server::openSession(const std::vector<std::string> &args)
     bool buggy = !oa.flag("fixed");
     if (bugId.empty() == file.empty())
         fatal("open needs exactly one of bug=ID or file=PATH");
+    if (!bugId.empty() && !stimulus.empty())
+        fatal("stimulus= applies to file= designs; bug=%s runs its "
+              "own workload",
+              bugId.c_str());
     if (bugId.empty() && stimulus.empty() && kind != "analyze")
         fatal("%s sessions on file= designs need stimulus=FILE",
               kind.c_str());

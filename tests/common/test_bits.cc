@@ -212,9 +212,12 @@ TEST(BitsTest, NegateTwosComplement)
 // width and the operands fit in a word.
 // ---------------------------------------------------------------------
 
+// The width is stored as 64 bits so the struct has no padding: gtest
+// names each case by the raw bytes of its parameter, and uninitialised
+// padding would make those names differ from run to run.
 struct ArithCase
 {
-    uint32_t width;
+    uint64_t width;
     uint64_t a;
     uint64_t b;
 };
@@ -225,7 +228,8 @@ class BitsArithProperty : public ::testing::TestWithParam<ArithCase>
 
 TEST_P(BitsArithProperty, MatchesNativeModularArithmetic)
 {
-    const auto &[w, av, bv] = GetParam();
+    const auto &[width, av, bv] = GetParam();
+    const uint32_t w = static_cast<uint32_t>(width);
     uint64_t mask = w >= 64 ? ~uint64_t(0) : ((uint64_t(1) << w) - 1);
     Bits a(w, av);
     Bits b(w, bv);

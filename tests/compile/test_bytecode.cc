@@ -116,11 +116,11 @@ struct Pair
 };
 
 compile::Program
-lower(const std::string &src, bool fold, const std::string &top = "m")
+lower(const std::string &src, const std::string &top = "m")
 {
     hdl::Design design = hdl::parse(src);
     LoweredDesign lowered(elab::elaborate(design, top).mod);
-    return compile::lowerProgram(lowered, fold);
+    return compile::lowerProgram(lowered);
 }
 
 } // namespace
@@ -367,26 +367,17 @@ TEST(BytecodeTest, ScalarBitIndexReadWriteAsymmetry)
     EXPECT_EQ(p.peek("w").toU64(), 0x40u);
 }
 
-TEST(BytecodeTest, FoldingStatsAndDeadGuards)
+TEST(BytecodeTest, ConstantTrueGuardSelectsThenArm)
 {
-    std::string src =
-        "module m(input wire clk, input wire [7:0] a,\n"
-        "         output reg [7:0] q);\n"
-        "wire [7:0] k = 8'd3 + 8'd4;\n" // foldable
-        "always @(posedge clk) begin\n"
-        "  if (k == 8'd7) q <= a;\n" // provably true guard
-        "  else q <= 8'hEE;\n"       // dead branch
-        "end\nendmodule";
-    compile::Program folded = lower(src, true);
-    compile::Program plain = lower(src, false);
-    EXPECT_GT(folded.foldedConsts, 0u);
-    EXPECT_GT(folded.deadArms, 0u);
-    EXPECT_EQ(plain.foldedConsts, 0u);
-    EXPECT_EQ(plain.deadArms, 0u);
-    EXPECT_LT(folded.ops.size(), plain.ops.size());
-
-    // Folding must not change behavior.
-    Pair p(src);
+    // Lowering keeps both arms of a guard whose condition is a
+    // constant expression; the jump must still pick the live one.
+    Pair p("module m(input wire clk, input wire [7:0] a,\n"
+           "         output reg [7:0] q);\n"
+           "wire [7:0] k = 8'd3 + 8'd4;\n"
+           "always @(posedge clk) begin\n"
+           "  if (k == 8'd7) q <= a;\n" // provably true guard
+           "  else q <= 8'hEE;\n"
+           "end\nendmodule");
     p.poke("a", uint64_t(0x5A));
     p.tick();
     EXPECT_EQ(p.peek("q").toU64(), 0x5Au);
@@ -399,8 +390,7 @@ TEST(BytecodeTest, ProgramStateRegionLayout)
         "         output reg [64:0] q);\n"
         "reg [15:0] mem[0:2];\n"
         "always @(posedge clk) q <= d;\n"
-        "endmodule",
-        true);
+        "endmodule");
     // Every signal has a scalar slot and every array an element block,
     // all inside the state region.
     ASSERT_EQ(prog.sigOff.size(), prog.arrOff.size());

@@ -1,13 +1,21 @@
 /**
  * @file
  * Machine-protocol unit tests: request parsing (JSON and bare text),
- * ordered JSON rendering, and transcript schema validation.
+ * decimal argument parsing, ordered JSON rendering, and transcript
+ * schema validation.
  */
 
 #include <gtest/gtest.h>
 
-#include "debug/protocol.hh"
+#include <sstream>
 
+#include "debug/engine.hh"
+#include "debug/protocol.hh"
+#include "debug/repl.hh"
+#include "elab/elaborate.hh"
+#include "hdl/parser.hh"
+
+using namespace hwdbg;
 using namespace hwdbg::debug;
 
 TEST(ProtocolTest, ParsesBareCommandLines)
@@ -50,6 +58,60 @@ TEST(ProtocolTest, RejectsMalformedRequests)
         parseRequestLine("{\"cmd\":\"run\",\"args\":\"x\"}").error.empty());
     EXPECT_FALSE(
         parseRequestLine("{\"cmd\":\"run\",\"args\":[1]}").error.empty());
+}
+
+TEST(ProtocolTest, ParseU64AcceptsDigitsUpTo2To64Minus1)
+{
+    uint64_t v = 0;
+    EXPECT_TRUE(parseU64("0", &v));
+    EXPECT_EQ(v, 0u);
+    EXPECT_TRUE(parseU64("18446744073709551615", &v));
+    EXPECT_EQ(v, UINT64_MAX);
+    v = 42;
+    EXPECT_FALSE(parseU64("18446744073709551616", &v));
+    EXPECT_FALSE(parseU64("18446744073709551617", &v));
+    EXPECT_FALSE(parseU64("99999999999999999999", &v));
+    EXPECT_FALSE(parseU64("-1", &v));
+    EXPECT_FALSE(parseU64("+1", &v));
+    EXPECT_FALSE(parseU64("", &v));
+    EXPECT_FALSE(parseU64("12x", &v));
+    EXPECT_EQ(v, 42u); // untouched on failure
+}
+
+TEST(ProtocolTest, GotoCycleRejectsOverflowingTargets)
+{
+    hdl::Design design = hdl::parse(
+        "module m(input wire clk, output reg [7:0] count);\n"
+        "always @(posedge clk) count <= count + 1;\nendmodule");
+    sim::StimulusTape tape;
+    for (int i = 0; i < 4; ++i) {
+        sim::StimulusStep low, high;
+        low.pokes.emplace_back("clk", Bits(1, 0));
+        high.pokes.emplace_back("clk", Bits(1, 1));
+        tape.steps.push_back(low);
+        tape.steps.push_back(high);
+    }
+    Engine engine(elab::elaborate(design, "m").mod, tape);
+    std::istringstream in("goto-cycle 18446744073709551617\n"
+                          "goto-cycle -1\n"
+                          "goto-cycle 18446744073709551615\n"
+                          "quit\n");
+    std::ostringstream out;
+    SessionOptions opts;
+    opts.machine = true;
+    EXPECT_EQ(runSession(engine, in, out, opts), 2);
+
+    std::vector<std::string> lines;
+    std::istringstream transcript(out.str());
+    for (std::string line; std::getline(transcript, line);)
+        lines.push_back(line);
+    ASSERT_EQ(lines.size(), 5u) << out.str(); // hello + 4 responses
+    EXPECT_NE(lines[1].find("usage: goto-cycle <n>"), std::string::npos);
+    EXPECT_NE(lines[2].find("usage: goto-cycle <n>"), std::string::npos);
+    // The largest target is valid: travel runs to the tape's end.
+    EXPECT_NE(lines[3].find("\"ok\":true"), std::string::npos)
+        << lines[3];
+    EXPECT_EQ(engine.cycle(), 4u);
 }
 
 TEST(ProtocolTest, JsonObjectPreservesFieldOrderAndEscapes)

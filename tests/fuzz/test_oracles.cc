@@ -42,7 +42,7 @@ fromSource(const char *src, std::vector<StimulusPort> inputs,
 {
     GeneratedDesign gd;
     gd.design = hdl::parse(src, "<oracle-test>");
-    gd.top = "t";
+    gd.top = std::string("t"); // = "t" trips GCC 12 -Wrestrict
     gd.inputs = std::move(inputs);
     gd.outputs = std::move(outputs);
     gd.eventSignals = std::move(events);

@@ -48,30 +48,35 @@ TEST(XbackendOracleTest, RegistrationAndNaming)
 TEST(XbackendOracleTest, ComparisonHasTeeth)
 {
     // A correct interpreter and a correct lowering can only disagree
-    // through stale folding: constants baked in under unmutated
-    // semantics survive a mutation armed afterwards, while the
-    // interpreter applies the mutation live. Construct exactly that
-    // divergence and check the comparison the oracle relies on sees it
-    // — guarding both the oracle's sensitivity and the rule that
-    // lowering must re-run when a mutation arms.
+    // through stale lowering: width mutations are structural, so the
+    // bytecode bakes the comparison width in once, at lowering time,
+    // while the interpreter reads the mutation live. Arm one after
+    // lowering and check the comparison the oracle relies on sees the
+    // divergence — guarding both the oracle's sensitivity and the rule
+    // that lowering must re-run when a mutation arms.
     hdl::Design design = hdl::parse(
-        "module m(input wire clk, output wire [7:0] k);\n"
-        "assign k = 8'd3 + 8'd4;\n"
+        "module m(input wire [3:0] a, input wire [3:0] b,\n"
+        "         output wire [7:0] k);\n"
+        "assign k = (a + b) == 4'd0;\n"
         "endmodule");
     auto mod = elab::elaborate(design, "m").mod;
     sim::Simulator interp(mod);
     sim::Simulator bytecode(mod);
-    bytecode.setBackend(compile::makeBytecodeBackend()); // folds k = 7
+    bytecode.setBackend(compile::makeBytecodeBackend()); // 4-bit compare
+    for (sim::Simulator *sim : {&interp, &bytecode}) {
+        sim->poke("a", uint64_t(8));
+        sim->poke("b", uint64_t(8));
+    }
 
-    activeMutation = MUT_SIM_ADD_AS_SUB;
-    interp.eval();   // live mutation: 3 - 4 = 0xFF
-    bytecode.eval(); // folded constant survives: still 7
+    activeMutation = MUT_SIM_CMP_CTX_WIDTH;
+    interp.eval();   // live mutation: 8-bit 16 == 0 is false
+    bytecode.eval(); // lowered 4-bit compare: 0 == 0 is true
     Bits ki = interp.peek("k");
     Bits kb = bytecode.peek("k");
     activeMutation = MUT_NONE;
 
-    EXPECT_EQ(ki.toU64(), 0xFFu);
-    EXPECT_EQ(kb.toU64(), 0x7u);
+    EXPECT_EQ(ki.toU64(), 0u);
+    EXPECT_EQ(kb.toU64(), 1u);
     EXPECT_NE(ki.toU64(), kb.toU64())
         << "planted divergence was not observable";
 }

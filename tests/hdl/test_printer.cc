@@ -58,6 +58,14 @@ struct RoundTripCase
     const char *src;
 };
 
+// Print a case by its name; gtest's default byte dump would show the
+// pointers, which change from run to run.
+void
+PrintTo(const RoundTripCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class PrinterRoundTrip : public ::testing::TestWithParam<RoundTripCase>
 {
 };

@@ -149,9 +149,11 @@ TEST(ServeServerTest, EightSessionsShareOneBuildAndDedup)
     for (int i = 0; i < 8; ++i)
         script += "open debug bug=D4\n";
     for (int sid = 1; sid <= 8; ++sid) {
-        script += "@" + std::to_string(sid) + " step 2\n";
-        script += "@" + std::to_string(sid) + " info breakpoints\n";
-        script += "@" + std::to_string(sid) + " cover\n";
+        std::string at = "@";
+        at += std::to_string(sid);
+        script += at + " step 2\n";
+        script += at + " info breakpoints\n";
+        script += at + " cover\n";
     }
     script += "quit\n";
 
@@ -195,6 +197,32 @@ TEST(ServeServerTest, RoutingErrorsAreProtocolErrors)
     EXPECT_NE(all[3].find("not interactive"), std::string::npos);
     EXPECT_NE(all[4].find("bad session prefix"), std::string::npos);
     EXPECT_NE(all[5].find("unknown server command"), std::string::npos);
+}
+
+TEST(ServeServerTest, BadOpenArgumentsAreProtocolErrors)
+{
+    // Numbers are digits only and at most 2^64-1: a sign or one past
+    // the top is an error, not a wrapped value. stimulus= belongs to
+    // file= designs; a bug runs its own workload.
+    const std::string script =
+        "open trace bug=D3 budget=-1\n"
+        "open trace bug=D3 budget=18446744073709551617\n"
+        "open debug bug=D4 stimulus=steps.stim\n"
+        "open trace bug=D3 budget=18446744073709551615\n"
+        "quit\n";
+    Server server;
+    std::string transcript = runScript(server, script);
+    EXPECT_EQ(checkServeTranscript(transcript), "");
+    auto all = lines(transcript);
+    ASSERT_EQ(all.size(), 6u); // hello + 5 responses
+    EXPECT_NE(all[1].find("budget=: bad number '-1'"), std::string::npos);
+    EXPECT_NE(all[2].find("bad number '18446744073709551617'"),
+              std::string::npos);
+    EXPECT_NE(all[3].find("\"ok\":false"), std::string::npos);
+    EXPECT_NE(all[3].find("stimulus= applies to file= designs"),
+              std::string::npos);
+    EXPECT_NE(all[4].find("\"ok\":true"), std::string::npos) << all[4];
+    EXPECT_NE(all[4].find("\"samples\":"), std::string::npos);
 }
 
 TEST(ServeServerTest, RoutedQuitRetiresTheSessionNotTheChannel)
@@ -247,7 +275,9 @@ TEST(ServeServerTest, ConcurrentTcpClientsGetByteIdenticalSessions)
             }
             auto sid = static_cast<int64_t>(
                 root->get("payload")->get("session")->number);
-            std::string at = "@" + std::to_string(sid) + " ";
+            std::string at = "@";
+            at += std::to_string(sid);
+            at += " ";
             for (const char *cmd :
                  {"step 3", "info checkpoints", "cover", "step 2"}) {
                 writeAll(fd, at + cmd + "\n");

@@ -17,6 +17,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -157,7 +158,9 @@ loadedServerStats(Server &server, int clients, int steps)
     std::atomic<int> failures{0};
     for (size_t c = 0; c < fds.size(); ++c)
         workers.emplace_back([&, c] {
-            std::string at = "@" + std::to_string(sids[c]) + " ";
+            std::string at = "@";
+            at += std::to_string(sids[c]);
+            at += " ";
             std::string line;
             for (int i = 0; i < steps; ++i) {
                 if (!writeAll(fds[c], at + "step 2\n") ||
@@ -477,22 +480,31 @@ TEST(ServeTelemetryTest, CheckerRejectsMalformedStatsDocuments)
         out += "}";
         return out;
     };
+    auto array = [](std::initializer_list<std::string> rows) {
+        std::string out = "[";
+        for (const auto &row : rows) {
+            if (out.size() > 1)
+                out += ",";
+            out += row;
+        }
+        out += "]";
+        return out;
+    };
 
     EXPECT_EQ(checkServeStatsJson(doc("1", "[]", "[]")), "");
     EXPECT_NE(checkServeStatsJson(doc("2", "[]", "[]")), "");
     EXPECT_NE(checkServeStatsJson("{\"version\":1}"), "");
 
     // Quantiles must be monotone p50 <= p95 <= p99 <= max.
-    std::string bad = doc("1", "[" + cmdRow("run", 9, 5, 9, 9) + "]",
-                          "[]");
+    std::string bad = doc("1", array({cmdRow("run", 9, 5, 9, 9)}), "[]");
     EXPECT_NE(checkServeStatsJson(bad).find("not monotone"),
               std::string::npos);
 
     // Command rows must be strictly sorted by name.
     std::string unsorted =
         doc("1",
-            "[" + cmdRow("run", 1, 1, 1, 1) + "," +
-                cmdRow("open", 1, 1, 1, 1) + "]",
+            array({cmdRow("run", 1, 1, 1, 1),
+                   cmdRow("open", 1, 1, 1, 1)}),
             "[]");
     EXPECT_NE(checkServeStatsJson(unsorted).find("not sorted"),
               std::string::npos);

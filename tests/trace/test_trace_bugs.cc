@@ -31,7 +31,7 @@ TEST(TraceBugsTest, InterpAndBytecodeDumpsAreByteIdentical)
         EXPECT_EQ(bytecode.backend, "bytecode");
 
         // The backend label is the one legitimate difference.
-        interp.backend = bytecode.backend = "x";
+        bytecode.backend = interp.backend;
         EXPECT_EQ(toJson(interp), toJson(bytecode));
         EXPECT_EQ(renderVcd(interp), renderVcd(bytecode));
 

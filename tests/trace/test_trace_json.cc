@@ -137,6 +137,6 @@ TEST(TraceJsonTest, RejectsOverwideHexValue)
     std::string text = toJson(makeDump());
     size_t at = text.find("\"values\": [\"0x");
     ASSERT_NE(at, std::string::npos);
-    text.insert(at + 14, "f");
+    text.insert(text.begin() + at + 14, 'f');
     EXPECT_NE(checkTraceDumpJson(text), "");
 }
